@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-engine race-cache race-obs race-ops race-load race-columnar race-cluster bench bench-insights bench-wal bench-parallel bench-cache bench-trace bench-ops bench-load bench-columnar smoke-load smoke-cluster fuzz-cache lint-handlers ci
+.PHONY: all build vet test bench-test race race-engine race-cache race-obs race-ops race-load race-columnar race-cluster bench bench-insights bench-wal bench-parallel bench-cache bench-trace bench-ops bench-load bench-columnar smoke-load smoke-cluster fuzz-cache lint-handlers ci
 
 all: ci
 
@@ -15,6 +15,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The service benchmark (perfbench/) is a Go module of its own, so the
+# root `go test ./...` neither builds nor tests it; this target does, so
+# a change to a type it compiles against fails here rather than only at
+# benchmark time.
+bench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The engine suite under the race detector: the parallel operators
 # (morsel scans, partitioned joins, parallel sorts/aggregates) must be

@@ -86,17 +86,23 @@ func runInsights(w io.Writer, path string, gap, slow time.Duration) error {
 	return nil
 }
 
-// writeUsage folds the replayed records through the same UsageMeter the
-// live server meters queries with, so the offline per-user accounting here
-// reconciles exactly with what GET /api/insights/usage reported before
-// shutdown: identical records, identical folding code.
-func writeUsage(w io.Writer, records []*history.Record) {
+// replayUsage meters the replayed records into a fresh UsageMeter through
+// history.Record.Meter, the method the live catalog meters every query
+// with. The log holds the same records the server metered, in the same
+// order, so for a log written by one server the per-user and per-template
+// snapshot equals what GET /api/insights/usage reported before shutdown,
+// CPU seconds included (generations rotated out of the log are not
+// replayed).
+func replayUsage(records []*history.Record) obs.UsageSnapshot {
 	meter := obs.NewUsageMeter(obs.NewRegistry())
 	for _, r := range records {
-		meter.Record(r.User, r.Digest, (r.CompileMillis+r.ExecuteMillis)/1000,
-			int64(r.RowsReturned), r.ResultBytes, r.Err != "", r.CacheHit)
+		r.Meter(meter)
 	}
-	snap := meter.Snapshot()
+	return meter.Snapshot()
+}
+
+func writeUsage(w io.Writer, records []*history.Record) {
+	snap := replayUsage(records)
 	fmt.Fprintf(w, "\n-- resource usage (per user, replayed through the live meter) --\n")
 	for _, u := range snap.Users {
 		fmt.Fprintf(w, "%-20s %5d queries (%d failed, %d cache hits)  cpu %9.3fs  rows %9d  bytes %12d\n",

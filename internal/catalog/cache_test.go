@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -410,31 +411,41 @@ func TestHistoryFlagsCacheHits(t *testing.T) {
 	if _, _, err := c.Query("alice", sql); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Query("alice", sql); err != nil {
+	missOps := h.Analyzer().OperatorMix()
+	missCols := touchedColumns(h.Analyzer().TableTouches())
+	if len(missOps) == 0 || len(missCols) == 0 {
+		t.Fatalf("executed run folded no stats: ops=%v cols=%v", missOps, missCols)
+	}
+	_, rec, err := c.Query("alice", sql)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if rec.Cache != CacheHit {
+		t.Fatalf("second run cache = %q, want hit", rec.Cache)
 	}
 	sum := h.Analyzer().Summarize()
 	if sum.Queries != 2 || sum.CacheHits != 1 {
 		t.Fatalf("summary queries=%d cacheHits=%d, want 2/1", sum.Queries, sum.CacheHits)
 	}
-	// Operator stats fold only the executed run — a hit must not
-	// double-count the fill run's operators.
-	var aggExecs int
-	for _, rec := range h.Recent(10) {
-		if rec.CacheHit {
-			if len(rec.Operators) != 0 {
-				t.Errorf("cache-hit record carries operator stats: %v", rec.Operators)
-			}
-		}
-		for op, n := range rec.Operators {
-			if strings.Contains(strings.ToLower(op), "aggregate") {
-				aggExecs += n
-			}
-		}
+	// Operator and column stats fold only the executed run: the hit's
+	// record carries the cached plan metadata, but folding it must not
+	// double-count the fill run's work.
+	if got := h.Analyzer().OperatorMix(); !reflect.DeepEqual(got, missOps) {
+		t.Errorf("operator mix after miss+hit = %v, want %v (miss alone)", got, missOps)
 	}
-	if aggExecs != 1 {
-		t.Errorf("aggregate operator folded %d times across records, want 1", aggExecs)
+	if got := touchedColumns(h.Analyzer().TableTouches()); !reflect.DeepEqual(got, missCols) {
+		t.Errorf("column counts after miss+hit = %v, want %v (miss alone)", got, missCols)
 	}
+}
+
+// touchedColumns projects the table census onto its column counts (touch
+// counts grow with every statement, hits included).
+func touchedColumns(touches []history.TableTouch) map[string]map[string]int {
+	out := map[string]map[string]int{}
+	for _, t := range touches {
+		out[t.Table] = t.Columns
+	}
+	return out
 }
 
 // sanity check: the version closure resolves shadowed names with the

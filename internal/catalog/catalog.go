@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"sqlshare/internal/engine"
+	"sqlshare/internal/history"
 	"sqlshare/internal/obs"
 	"sqlshare/internal/ops"
 	"sqlshare/internal/qcache"
@@ -104,7 +105,7 @@ type Catalog struct {
 	datasets   map[string]*Dataset // key: FullName
 	baseTables map[string]*storage.Table
 	macros     map[string]*Macro // key: owner.name
-	log        []*LogEntry
+	log        []*history.Record
 	seq        int
 	clock      func() time.Time
 	quotaBytes int64

@@ -102,7 +102,7 @@ func TestQueryRecordsHistory(t *testing.T) {
 		t.Fatalf("newest-first order wrong: %+v", recent)
 	}
 	ok := recent[1]
-	if ok.User != "alice" || ok.Digest == "" || ok.Trace == nil {
+	if ok.User != "alice" || ok.Digest == "" || ok.Plan == nil || ok.Plan.Trace == nil {
 		t.Errorf("recorded statement incomplete: %+v", ok)
 	}
 	if ok.RowsReturned != 2 {

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"sqlshare/internal/engine"
+	"sqlshare/internal/history"
 	"sqlshare/internal/sqlext"
 	"sqlshare/internal/sqlparser"
 	"sqlshare/internal/wal"
@@ -206,16 +207,13 @@ func (c *Catalog) ExpandMacro(user, name string, args map[string]string) (string
 
 // QueryMacro expands and executes a macro in one step, logging the
 // expanded query like any other.
-func (c *Catalog) QueryMacro(user, name string, args map[string]string) (*LogEntry, error) {
+func (c *Catalog) QueryMacro(user, name string, args map[string]string) (*history.Record, error) {
 	sql, err := c.ExpandMacro(user, name, args)
 	if err != nil {
 		return nil, err
 	}
-	_, entry, err := c.Query(user, sql)
-	if err != nil {
-		return entry, err
-	}
-	return entry, nil
+	_, rec, err := c.Query(user, sql)
+	return rec, err
 }
 
 // -------------------------------------------------------- column patterns
@@ -262,7 +260,7 @@ func (c *Catalog) ExpandPatterns(user, sql string) (string, error) {
 
 // QueryWithPatterns expands column patterns and executes the result,
 // logging the expanded query.
-func (c *Catalog) QueryWithPatterns(user, sql string) (*engine.Result, *LogEntry, error) {
+func (c *Catalog) QueryWithPatterns(user, sql string) (*engine.Result, *history.Record, error) {
 	expanded, err := c.ExpandPatterns(user, sql)
 	if err != nil {
 		return nil, nil, err

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sqlshare/internal/engine"
+	"sqlshare/internal/history"
 	"sqlshare/internal/obs"
 	"sqlshare/internal/ops"
 	"sqlshare/internal/plan"
@@ -17,61 +18,18 @@ import (
 	"sqlshare/internal/sqlparser"
 )
 
-// Cache states recorded on LogEntry.Cache and surfaced in EXPLAIN ANALYZE
-// output, job status and traces.
+// Cache states recorded on history.Record.Cache and surfaced in EXPLAIN
+// ANALYZE output, job status and traces.
 const (
-	// CacheHit: the result was served from the version-fenced cache.
-	CacheHit = "hit"
-	// CacheMiss: the cache was probed, missed, and the query executed.
-	CacheMiss = "miss"
-	// CacheBypass: the cache was not probed (detached, NoCache, EXPLAIN,
-	// or an unresolvable dependency closure).
-	CacheBypass = "bypass"
+	CacheHit    = history.CacheHit
+	CacheMiss   = history.CacheMiss
+	CacheBypass = history.CacheBypass
 )
-
-// LogEntry is one record of the query log — the unit of the released
-// workload corpus (§4). Every executed query is logged with its plan and
-// extracted metadata.
-type LogEntry struct {
-	ID   int
-	User string
-	SQL  string
-	Time time.Time
-	// Runtime is the measured wall-clock execution time.
-	Runtime time.Duration
-	// Datasets lists the dataset full names the query referenced directly.
-	Datasets []string
-	// Plan and Meta are the Phase 1/Phase 2 extraction outputs.
-	Plan *plan.QueryPlan
-	Meta *plan.Metadata
-	// Err records a failed execution; failed queries are logged too.
-	Err string
-	// RowsReturned is the result cardinality of a successful run.
-	RowsReturned int
-	// Compile and Execute split Runtime into the parse/permission/plan
-	// phase and the execution phase.
-	Compile time.Duration
-	Execute time.Duration
-	// Digest is the stable hash of the normalized operator tree
-	// (plan.QueryPlan.Digest). It is computed on demand — when a history
-	// recorder is attached — and stays empty otherwise, keeping template
-	// rendering off the untracked query fast path.
-	Digest string
-	// Cache records how the result cache participated in this execution:
-	// CacheHit, CacheMiss or CacheBypass.
-	Cache string
-	// TraceID links this entry to the request span tree in the trace store,
-	// when the execution ran inside an active trace.
-	TraceID string
-	// ResultBytes estimates the result payload width (sum of value widths),
-	// the bytes dimension of per-user resource accounting.
-	ResultBytes int64
-}
 
 // QueryOptions tunes one catalog query execution.
 type QueryOptions struct {
 	// Trace enables per-operator runtime instrumentation; the resulting
-	// trace tree is attached to the log entry's Plan.
+	// trace tree is attached to the record's Plan.
 	Trace bool
 	// MaxRows aborts the execution with engine.ErrRowLimit when any
 	// operator materializes more than this many rows (0 = unlimited).
@@ -100,12 +58,12 @@ type QueryOptions struct {
 // Query parses, permission-checks, compiles, executes and logs a query on
 // behalf of user. This is the code path behind the REST query endpoint
 // (§3.3).
-func (c *Catalog) Query(user, sql string) (*engine.Result, *LogEntry, error) {
+func (c *Catalog) Query(user, sql string) (*engine.Result, *history.Record, error) {
 	return c.QueryWithOptions(user, sql, QueryOptions{})
 }
 
 // QueryWithOptions is Query with execution tracing and row limits.
-func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine.Result, *LogEntry, error) {
+func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine.Result, *history.Record, error) {
 	if opts.Context == nil {
 		opts.Context = context.Background()
 	}
@@ -144,23 +102,21 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 	}
 	res, execErr := run.res, run.err
 
-	entry := &LogEntry{
-		User:        user,
-		SQL:         sql,
-		Datasets:    run.datasets,
-		Runtime:     elapsed,
-		Compile:     run.compile,
-		Execute:     run.execute,
-		TraceID:     obs.TraceIDFromContext(opts.Context),
-		ResultBytes: run.resultBytes,
+	entry := &history.Record{
+		User:          user,
+		SQL:           sql,
+		Datasets:      run.datasets,
+		CompileMillis: millis(run.compile),
+		ExecuteMillis: millis(run.execute),
+		RuntimeMillis: millis(elapsed),
+		Cache:         run.cache,
+		TraceID:       obs.TraceIDFromContext(opts.Context),
+		ResultBytes:   run.resultBytes,
 	}
-	entry.Cache = run.cache
 	if run.plan != nil {
 		if run.prePlan != nil {
 			// The live registry already paid for extraction (for the template
 			// shown in /api/queries/running); reuse it instead of re-deriving.
-			// Digest stays empty here exactly as on the registry-less path:
-			// ensureDigest fills it on demand when history or usage wants it.
 			entry.Plan = run.prePlan
 			entry.Meta = run.preMeta
 		} else {
@@ -171,7 +127,7 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 			entry.Plan.Trace = plan.FromTrace(run.trace)
 		}
 	} else if run.cache == CacheHit {
-		// A hit skips compilation; the log entry reuses the plan artifacts
+		// A hit skips compilation; the record reuses the plan artifacts
 		// cached alongside the result.
 		entry.Plan = run.cachedPlan
 		entry.Meta = run.cachedMeta
@@ -194,16 +150,25 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 
 	c.recordQueryMetrics(run, elapsed, execErr)
 
+	// The digest is filled before the record is published: history and
+	// usage metering key on it, and a logged record is never written again.
+	hist := c.history.h.Load()
+	var usage *obs.UsageMeter
+	if m := c.metrics.Load(); m != nil {
+		usage = m.Usage
+	}
+	if hist != nil || usage != nil || run.storeKey != "" {
+		ensureDigest(entry)
+	}
+
 	// Fill the result cache outside the lock: the versions in storeKey were
 	// captured under the read lock the execution held, so a mutation that
-	// raced this fill simply makes the stored entry unreachable.
-	if execErr == nil && run.storeKey != "" && entry.Plan != nil {
+	// raced this fill simply makes the stored entry unreachable. storeKey
+	// is set only on a successful, compiled, non-EXPLAIN run.
+	if run.storeKey != "" {
 		if qc := c.resultCache.Load(); qc != nil {
 			stored := *entry.Plan
 			stored.Trace = nil
-			if entry.Digest == "" && entry.Meta != nil {
-				entry.Digest = plan.DigestTemplate(entry.Meta.Template)
-			}
 			qc.PutResult(run.storeKey, &qcache.ResultEntry{
 				Result: res,
 				Plan:   &stored,
@@ -220,8 +185,12 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 	c.log = append(c.log, entry)
 	c.mu.Unlock()
 
-	c.recordHistory(entry)
-	c.recordUsage(entry, execErr)
+	if hist != nil {
+		hist.Record(entry)
+	}
+	if usage != nil {
+		entry.Meter(usage)
+	}
 
 	if execErr != nil {
 		return nil, entry, execErr
@@ -229,21 +198,8 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 	return res, entry, nil
 }
 
-// recordUsage folds the finished entry into the per-user/per-digest usage
-// meters. CPU is estimated as compile+execute wall time — honest for this
-// engine's mostly-serial phases; parallel operators under-report slightly,
-// which keeps the estimate conservative for admission-control use.
-func (c *Catalog) recordUsage(entry *LogEntry, execErr error) {
-	m := c.metrics.Load()
-	if m == nil || m.Usage == nil {
-		return
-	}
-	ensureDigest(entry)
-	cpu := (entry.Compile + entry.Execute).Seconds()
-	m.Usage.Record(entry.User, entry.Digest, cpu,
-		int64(entry.RowsReturned), entry.ResultBytes,
-		execErr != nil, entry.Cache == CacheHit)
-}
+// millis converts a duration to the record's fractional milliseconds.
+func millis(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // resultBytesOf estimates a result's payload width: the sum of value widths
 // across all cells, the same estimate the result cache charges.
@@ -287,12 +243,12 @@ type queryRun struct {
 	// key, never a match for this one.
 	storeKey string
 	// cachedPlan/cachedMeta/cachedDigest carry the plan artifacts of a
-	// cache hit so the log entry is populated without recompiling.
+	// cache hit so the record is populated without recompiling.
 	cachedPlan   *plan.QueryPlan
 	cachedMeta   *plan.Metadata
 	cachedDigest string
 	// prePlan/preMeta carry extraction artifacts computed eagerly for the
-	// live-operations registry, so the log entry reuses them instead of
+	// live-operations registry, so the record reuses them instead of
 	// extracting twice.
 	prePlan *plan.QueryPlan
 	preMeta *plan.Metadata
@@ -585,7 +541,7 @@ func (c *Catalog) runQuery(user, sql string, opts QueryOptions, rec *phaseRecord
 		// Publish plan identity to the live registry: the normalized template
 		// (what history clusters on; the registry hashes it into a digest only
 		// when a snapshot asks) and the progress-estimate denominator. The
-		// extraction artifacts ride along on the run so the log entry reuses
+		// extraction artifacts ride along on the run so the record reuses
 		// them — one extraction per query either way.
 		run.prePlan = plan.FromEngine(sql, p)
 		run.preMeta = plan.Extract(sql, run.prePlan)
@@ -692,10 +648,10 @@ func (c *Catalog) Explain(user, sql string) (*plan.QueryPlan, error) {
 }
 
 // Log returns the query log in execution order.
-func (c *Catalog) Log() []*LogEntry {
+func (c *Catalog) Log() []*history.Record {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return append([]*LogEntry(nil), c.log...)
+	return append([]*history.Record(nil), c.log...)
 }
 
 // LogSize returns the number of logged queries.

@@ -18,12 +18,14 @@ import (
 	"time"
 
 	"sqlshare/internal/catalog"
-	"sqlshare/internal/plan"
+	"sqlshare/internal/history"
 	"sqlshare/internal/workload"
 )
 
-// FormatVersion identifies the release file format.
-const FormatVersion = 1
+// FormatVersion identifies the release file format. Version 2 writes each
+// query as the history.Record JSON object (the same object as a history
+// JSONL line) instead of version 1's separate query record.
+const FormatVersion = 2
 
 // Header is the first record of a release file.
 type Header struct {
@@ -50,24 +52,16 @@ type DatasetRecord struct {
 	Deleted     bool     `json:"deleted,omitempty"`
 }
 
-// QueryRecord is one logged query of the release.
-type QueryRecord struct {
-	Kind      string          `json:"kind"` // always "query"
-	ID        int             `json:"id"`
-	User      string          `json:"user"`
-	SQL       string          `json:"sql"`
-	Time      int64           `json:"time"` // unix seconds
-	RuntimeMS float64         `json:"runtimeMs"`
-	Datasets  []string        `json:"datasets,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	Rows      int             `json:"rows"`
-	Plan      *plan.QueryPlan `json:"plan,omitempty"`
-	Meta      *plan.Metadata  `json:"meta,omitempty"`
+// queryLine is one query of the release: the record itself, tagged so a
+// reader can tell it from a dataset line.
+type queryLine struct {
+	Kind string `json:"kind"` // always "query"
+	*history.Record
 }
 
 // Export writes the corpus as gzip-compressed JSON lines: one Header, then
 // one DatasetRecord per dataset (including deleted ones — lifetimes need
-// them), then one QueryRecord per log entry in execution order.
+// them), then one query line per log record in execution order.
 func Export(w io.Writer, c *workload.Corpus) error {
 	gz := gzip.NewWriter(w)
 	enc := json.NewEncoder(gz)
@@ -103,21 +97,8 @@ func Export(w io.Writer, c *workload.Corpus) error {
 			return err
 		}
 	}
-	for _, e := range c.Entries {
-		rec := QueryRecord{
-			Kind:      "query",
-			ID:        e.ID,
-			User:      e.User,
-			SQL:       e.SQL,
-			Time:      e.Time.Unix(),
-			RuntimeMS: float64(e.Runtime) / float64(time.Millisecond),
-			Datasets:  e.Datasets,
-			Error:     e.Err,
-			Rows:      e.RowsReturned,
-			Plan:      e.Plan,
-			Meta:      e.Meta,
-		}
-		if err := enc.Encode(rec); err != nil {
+	for _, rec := range c.Entries {
+		if err := enc.Encode(queryLine{Kind: "query", Record: rec}); err != nil {
 			return err
 		}
 	}
@@ -130,7 +111,7 @@ func Export(w io.Writer, c *workload.Corpus) error {
 type Release struct {
 	Header   Header
 	Datasets []DatasetRecord
-	Queries  []QueryRecord
+	Queries  []*history.Record
 }
 
 // Import reads a release file written by Export.
@@ -171,11 +152,11 @@ func Import(r io.Reader) (*Release, error) {
 			}
 			rel.Datasets = append(rel.Datasets, rec)
 		case "query":
-			var rec QueryRecord
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			var q queryLine
+			if err := json.Unmarshal([]byte(line), &q); err != nil {
 				return nil, err
 			}
-			rel.Queries = append(rel.Queries, rec)
+			rel.Queries = append(rel.Queries, q.Record)
 		default:
 			return nil, fmt.Errorf("corpusio: unknown record kind %q", kind.Kind)
 		}
@@ -187,26 +168,4 @@ func Import(r io.Reader) (*Release, error) {
 		return nil, fmt.Errorf("corpusio: empty file")
 	}
 	return rel, nil
-}
-
-// Entries converts the release's query records back into log entries so
-// the workload package's log-level analyses (length, entropy, operator
-// frequency, lifetimes, coverage, classification, reuse) run unchanged.
-func (r *Release) Entries() []*catalog.LogEntry {
-	out := make([]*catalog.LogEntry, 0, len(r.Queries))
-	for _, q := range r.Queries {
-		out = append(out, &catalog.LogEntry{
-			ID:           q.ID,
-			User:         q.User,
-			SQL:          q.SQL,
-			Time:         time.Unix(q.Time, 0).UTC(),
-			Runtime:      time.Duration(q.RuntimeMS * float64(time.Millisecond)),
-			Datasets:     q.Datasets,
-			Plan:         q.Plan,
-			Meta:         q.Meta,
-			Err:          q.Error,
-			RowsReturned: q.Rows,
-		})
-	}
-	return out
 }

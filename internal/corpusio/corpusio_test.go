@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 	// Per-record fidelity for the first query.
 	q0, e0 := rel.Queries[0], corpus.Entries[0]
-	if q0.SQL != e0.SQL || q0.User != e0.User || q0.Time != e0.Time.Unix() {
+	if q0.SQL != e0.SQL || q0.User != e0.User || !q0.Time.Equal(e0.Time) {
 		t.Errorf("first query mismatch: %+v vs %+v", q0, e0)
 	}
 	if e0.Err == "" && (q0.Plan == nil || q0.Meta == nil) {
@@ -70,7 +71,7 @@ func TestReleaseEntriesDriveAnalyses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := rel.Entries()
+	entries := rel.Queries
 	if len(entries) != len(corpus.Entries) {
 		t.Fatalf("entries = %d", len(entries))
 	}
@@ -116,8 +117,39 @@ func TestImportRejectsWrongVersion(t *testing.T) {
 
 func TestImportRejectsUnknownRecordKind(t *testing.T) {
 	var buf bytes.Buffer
-	writeGzipLine(&buf, `{"format":1,"corpus":"x"}`+"\n"+`{"kind":"mystery"}`)
+	writeGzipLine(&buf, `{"format":2,"corpus":"x"}`+"\n"+`{"kind":"mystery"}`)
 	if _, err := Import(&buf); err == nil || !strings.Contains(err.Error(), "unknown record kind") {
 		t.Errorf("want unknown-kind error, got %v", err)
+	}
+}
+
+// TestReleaseQueriesEqualLogRecords: every query read back from a release
+// file equals the in-memory log record field for field (times compared
+// with Equal), plans and metadata included.
+func TestReleaseQueriesEqualLogRecords(t *testing.T) {
+	corpus, _, err := synth.GenerateSQLShare(synth.SQLShareConfig{Seed: 5, Users: 10, TargetQueries: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Export(&buf, corpus); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := Import(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.Queries) != len(corpus.Entries) {
+		t.Fatalf("queries = %d, want %d", len(rel.Queries), len(corpus.Entries))
+	}
+	for i, want := range corpus.Entries {
+		got := *rel.Queries[i]
+		if !got.Time.Equal(want.Time) {
+			t.Fatalf("query %d: time %v, want %v", i, got.Time, want.Time)
+		}
+		got.Time = want.Time
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("query %d differs after the round trip:\n got  %+v\n want %+v", i, &got, want)
+		}
 	}
 }

@@ -111,7 +111,8 @@ func (a *Analyzer) Fold(rec *Record) {
 	if rec.Failed() {
 		a.failed++
 	}
-	if rec.CacheHit {
+	hit := rec.Cache == CacheHit
+	if hit {
 		a.cacheHits++
 	}
 	a.rows += int64(rec.RowsReturned)
@@ -125,19 +126,25 @@ func (a *Analyzer) Fold(rec *Record) {
 	if rec.Time.After(a.last) {
 		a.last = rec.Time
 	}
-	for op, n := range rec.Operators {
-		a.operators[op] += n
-	}
 	for _, ds := range rec.Datasets {
 		a.tableAgg(ds).touches++
 	}
-	for tbl, cols := range rec.Columns {
-		// The plan's column map is keyed by the table name as written in
-		// the query; fold it onto the matching dataset full name so the
-		// census counts each dataset once.
-		t := a.tableAgg(qualifyTable(tbl, rec.Datasets))
-		for _, col := range cols {
-			t.columns[col]++
+	// A cache hit carries the cached plan metadata, but nothing executed:
+	// folding its operator and column counts again would double-count the
+	// work the filling run already reported. The hit itself still counts
+	// (digest, latency, rows) so per-template frequencies stay complete.
+	if rec.Meta != nil && !hit {
+		for op, n := range rec.Meta.OperatorCounts {
+			a.operators[op] += n
+		}
+		for tbl, cols := range rec.Meta.Columns {
+			// The plan's column map is keyed by the table name as written
+			// in the query; fold it onto the matching dataset full name so
+			// the census counts each dataset once.
+			t := a.tableAgg(qualifyTable(tbl, rec.Datasets))
+			for _, col := range cols {
+				t.columns[col]++
+			}
 		}
 	}
 	if rec.Digest != "" {

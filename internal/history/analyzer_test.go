@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"sqlshare/internal/plan"
 )
 
 // foldCorpus builds a small two-user workload with an idle gap that splits
@@ -15,7 +17,7 @@ func foldCorpus() []*Record {
 		return &Record{
 			ID: id, Time: at, User: user, SQL: sql, Digest: digest,
 			RuntimeMillis: ms, RowsReturned: 2,
-			Operators: ops, Datasets: tables, Columns: cols, Err: errText,
+			Meta: &plan.Metadata{OperatorCounts: ops, Columns: cols}, Datasets: tables, Err: errText,
 		}
 	}
 	scan := map[string]int{"Clustered Index Scan": 1}

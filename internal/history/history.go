@@ -23,9 +23,26 @@ import (
 	"sqlshare/internal/plan"
 )
 
-// Record is one executed statement in the history — the unit of the live
-// workload corpus, mirroring catalog.LogEntry in a self-contained,
-// JSONL-serializable shape.
+// Cache dispositions recorded on Record.Cache: how the version-fenced
+// result cache took part in one execution.
+const (
+	// CacheHit: the result was served from the cache; nothing executed.
+	CacheHit = "hit"
+	// CacheMiss: the cache was probed, missed, and the query executed.
+	CacheMiss = "miss"
+	// CacheBypass: the cache was not probed (detached, NoCache, EXPLAIN,
+	// or an unresolvable dependency closure).
+	CacheBypass = "bypass"
+)
+
+// Record is one executed statement: the single per-query record of the
+// system and the unit of the released workload corpus (§4). The catalog
+// builds it once, at query end, and the same pointer then lands in the
+// catalog log, the history ring and analyzer, the usage meter, the
+// server's job table and the release file. Its JSON encoding is the one
+// serialized form: a history JSONL line, an /api/insights/recent item and
+// a release query line (which adds "kind":"query") are the same object.
+// A Record is not modified once the catalog has logged it.
 type Record struct {
 	ID   int       `json:"id"`
 	Time time.Time `json:"time"`
@@ -33,34 +50,35 @@ type Record struct {
 	SQL  string    `json:"sql"`
 	// Datasets lists the dataset full names the statement referenced.
 	Datasets []string `json:"datasets,omitempty"`
-	// CompileMillis/ExecuteMillis split the runtime; RuntimeMillis is the
+	// CompileMillis covers parse, permission checks, cache probe and plan
+	// compile; ExecuteMillis the execution. RuntimeMillis is the
 	// end-to-end wall time of the catalog query path.
 	CompileMillis float64 `json:"compileMillis"`
 	ExecuteMillis float64 `json:"executeMillis"`
 	RuntimeMillis float64 `json:"runtimeMillis"`
 	RowsReturned  int     `json:"rowsReturned"`
-	Err           string  `json:"error,omitempty"`
+	// Err records a failed execution; failed statements are logged too.
+	Err string `json:"error,omitempty"`
 	// Digest is the stable hash of the normalized operator tree
 	// (plan.QueryPlan.Digest); statements that differ only in literals
-	// share one, so history aggregates dedupe by plan shape.
+	// share one. The catalog fills it only when history, usage metering
+	// or the result cache wants it, keeping template hashing off the bare
+	// query path.
 	Digest string `json:"digest,omitempty"`
-	// Operators counts physical plan operators (plan extraction Phase 2).
-	Operators map[string]int `json:"operators,omitempty"`
-	// Columns maps each referenced dataset to the columns touched on it.
-	Columns map[string][]string `json:"columns,omitempty"`
-	// Trace is the PR-1 per-operator execution trace (estimates next to
-	// actuals), present when the statement ran traced.
-	Trace *plan.TraceNode `json:"trace,omitempty"`
-	// CacheHit marks a statement answered from the version-fenced result
-	// cache: no execution happened, and operator/column stats are omitted
-	// so the insights aggregates don't double-count the fill run's work.
-	CacheHit bool `json:"cacheHit,omitempty"`
+	// Cache is CacheHit, CacheMiss or CacheBypass.
+	Cache string `json:"cache,omitempty"`
 	// TraceID links the statement to its request span tree in the trace
 	// store (empty when it ran outside an active trace).
 	TraceID string `json:"traceId,omitempty"`
-	// ResultBytes estimates the result payload width — the bytes dimension
-	// of per-user resource accounting, replayable offline.
+	// ResultBytes estimates the result payload width (sum of value
+	// widths), the bytes dimension of per-user resource accounting.
 	ResultBytes int64 `json:"resultBytes,omitempty"`
+	// Plan and Meta are the Phase 1/Phase 2 extraction outputs. Plan.Trace
+	// holds the per-operator execution trace when the statement ran
+	// traced. A cache hit carries the plan artifacts cached with its
+	// result.
+	Plan *plan.QueryPlan `json:"plan,omitempty"`
+	Meta *plan.Metadata  `json:"meta,omitempty"`
 }
 
 // Failed reports whether the statement ended in an error.
@@ -69,6 +87,16 @@ func (r *Record) Failed() bool { return r.Err != "" }
 // Runtime returns the end-to-end wall time as a duration.
 func (r *Record) Runtime() time.Duration {
 	return time.Duration(r.RuntimeMillis * float64(time.Millisecond))
+}
+
+// Meter folds the statement into a usage meter. CPU is estimated as
+// compile+execute wall time — honest for this engine's mostly-serial
+// phases; parallel operators under-report slightly. The live catalog and
+// the offline replay of a history log both meter through this method, so
+// their snapshots agree exactly.
+func (r *Record) Meter(m *obs.UsageMeter) {
+	m.Record(r.User, r.Digest, (r.CompileMillis+r.ExecuteMillis)/1000,
+		int64(r.RowsReturned), r.ResultBytes, r.Failed(), r.Cache == CacheHit)
 }
 
 // Config tunes a History instance. The zero value is usable: a 1024-record

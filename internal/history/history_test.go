@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sqlshare/internal/obs"
+	"sqlshare/internal/plan"
 )
 
 func rec(id int, user, sql string, at time.Time, runtimeMs float64) *Record {
@@ -19,7 +20,7 @@ func rec(id int, user, sql string, at time.Time, runtimeMs float64) *Record {
 		SQL:           sql,
 		RuntimeMillis: runtimeMs,
 		RowsReturned:  1,
-		Operators:     map[string]int{"Clustered Index Scan": 1},
+		Meta:          &plan.Metadata{OperatorCounts: map[string]int{"Clustered Index Scan": 1}},
 		Datasets:      []string{user + ".t"},
 	}
 }

@@ -42,8 +42,10 @@ type QueryPlan struct {
 	Tables  []string            `json:"tables"`
 	Columns map[string][]string `json:"columns"`
 	// ExprOps counts expression operators (Table 4 vocabulary), including
-	// expressions contributed by expanded views.
-	ExprOps map[string]int `json:"expressionOps,omitempty"`
+	// expressions contributed by expanded views. Not omitempty: an empty
+	// census must decode as empty, not nil, or Extract on a decoded plan
+	// would fall back to re-parsing the SQL.
+	ExprOps map[string]int `json:"expressionOps"`
 	// Trace carries the per-operator runtime statistics of a traced
 	// execution — estimated next to actual row counts, like the
 	// RunTimeInformation elements of real SHOWPLAN XML. Nil for plans that

@@ -11,6 +11,7 @@ import (
 
 	"sqlshare/internal/catalog"
 	"sqlshare/internal/engine"
+	"sqlshare/internal/history"
 	"sqlshare/internal/obs"
 	"sqlshare/internal/ops"
 )
@@ -44,8 +45,7 @@ type job struct {
 	noCache bool // bypass the result cache for this query
 	state   jobState
 	result  *engine.Result
-	planID  int    // log entry id
-	cache   string // cache disposition: hit/miss/bypass
+	rec     *history.Record // the query's log record, set before done closes
 	errText string
 	aborted bool   // failed with a resource limit (row or memory; HTTP 422)
 	traceID string // span trace the execution belongs to, if tracing is on
@@ -154,7 +154,7 @@ func (s *Server) runJob(j *job, ctx context.Context, release func()) {
 	}
 	jctx, span := obs.StartSpan(ctx, "query.job")
 	span.SetAttr("job", j.id)
-	res, entry, err := s.cat.QueryWithOptions(j.user, j.sql, catalog.QueryOptions{
+	res, rec, err := s.cat.QueryWithOptions(j.user, j.sql, catalog.QueryOptions{
 		Trace:       s.tracing,
 		MaxRows:     s.maxRows,
 		MaxBytes:    s.maxBytes,
@@ -169,10 +169,7 @@ func (s *Server) runJob(j *job, ctx context.Context, release func()) {
 	span.EndErr(err)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if entry != nil {
-		j.planID = entry.ID
-		j.cache = entry.Cache
-	}
+	j.rec = rec
 	if err != nil {
 		j.state = jobFailed
 		if errors.Is(err, ops.ErrKilled) {
@@ -229,8 +226,8 @@ func (s *Server) handleQueryStatus(w http.ResponseWriter, r *http.Request) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	out := map[string]any{"id": j.id, "status": string(j.state)}
-	if j.cache != "" {
-		out["cache"] = j.cache
+	if j.rec != nil {
+		out["cache"] = j.rec.Cache
 	}
 	if j.traceID != "" {
 		out["traceId"] = j.traceID
@@ -280,11 +277,9 @@ func (s *Server) handleQueryPlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	<-j.done
-	for _, e := range s.cat.Log() {
-		if e.ID == j.planID && e.Plan != nil {
-			s.writeJSON(w, http.StatusOK, e.Plan)
-			return
-		}
+	if j.rec.Plan != nil {
+		s.writeJSON(w, http.StatusOK, j.rec.Plan)
+		return
 	}
 	s.writeErr(w, http.StatusNotFound, fmt.Errorf("no plan recorded for %q", j.id))
 }
@@ -310,11 +305,10 @@ func (s *Server) handleQueryTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	<-j.done
-	for _, e := range s.cat.Log() {
-		if e.ID == j.planID && e.Plan != nil && e.Plan.Trace != nil {
-			s.writeJSON(w, http.StatusOK, map[string]any{"id": j.id, "trace": e.Plan.Trace, "cache": e.Cache})
-			return
-		}
+	rec := j.rec
+	if rec.Plan != nil && rec.Plan.Trace != nil {
+		s.writeJSON(w, http.StatusOK, map[string]any{"id": j.id, "trace": rec.Plan.Trace, "cache": rec.Cache})
+		return
 	}
 	// All three remaining cases are 404, but a client must tell them apart:
 	// tracing_disabled means retrying is pointless until the operator flips
@@ -325,7 +319,7 @@ func (s *Server) handleQueryTrace(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("no trace recorded for %q: tracing is disabled on this server", j.id))
 		return
 	}
-	if j.cache == catalog.CacheHit {
+	if rec.Cache == catalog.CacheHit {
 		s.writeErrCode(w, http.StatusNotFound, "served_from_cache",
 			fmt.Errorf("no trace recorded for %q: result served from cache", j.id))
 		return

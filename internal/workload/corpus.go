@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"sqlshare/internal/catalog"
+	"sqlshare/internal/history"
 )
 
 // Corpus is one analyzable workload: a catalog (datasets, users) plus its
@@ -19,7 +20,7 @@ import (
 type Corpus struct {
 	Name    string
 	Catalog *catalog.Catalog
-	Entries []*catalog.LogEntry
+	Entries []*history.Record
 }
 
 // NewCorpus snapshots a catalog and its log into a corpus.
@@ -29,8 +30,8 @@ func NewCorpus(name string, cat *catalog.Catalog) *Corpus {
 
 // Succeeded returns the log entries that executed without error and carry
 // an extracted plan.
-func (c *Corpus) Succeeded() []*catalog.LogEntry {
-	var out []*catalog.LogEntry
+func (c *Corpus) Succeeded() []*history.Record {
+	var out []*history.Record
 	for _, e := range c.Entries {
 		if e.Err == "" && e.Plan != nil && e.Meta != nil {
 			out = append(out, e)

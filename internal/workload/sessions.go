@@ -3,6 +3,8 @@ package workload
 import (
 	"sort"
 	"time"
+
+	"sqlshare/internal/history"
 )
 
 // Session analysis after Singh et al.'s SkyServer traffic report, which
@@ -22,15 +24,12 @@ type Session struct {
 // Duration returns the session's wall-clock span.
 func (s Session) Duration() time.Duration { return s.End.Sub(s.Start) }
 
-// DefaultSessionGap is the idle threshold separating sessions, the
-// conventional 30 minutes of web-log analysis.
-const DefaultSessionGap = 30 * time.Minute
-
 // ComputeSessions splits the corpus into per-user sessions using the idle
-// gap (0 uses DefaultSessionGap). Sessions are returned in start order.
+// gap (0 uses history.DefaultSessionGap, the live analyzer's default).
+// Sessions are returned in start order.
 func ComputeSessions(c *Corpus, gap time.Duration) []Session {
 	if gap <= 0 {
-		gap = DefaultSessionGap
+		gap = history.DefaultSessionGap
 	}
 	byUser := map[string][]*sessionEntry{}
 	for _, e := range c.Entries {

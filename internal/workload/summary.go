@@ -50,7 +50,7 @@ func SummarizeQueries(c *Corpus) QuerySummary {
 	var length, ops, dops, tables, cols int
 	for _, e := range entries {
 		length += e.Meta.Length
-		runtime += e.Runtime
+		runtime += e.Runtime()
 		ops += e.Meta.NumOperators
 		dops += e.Meta.DistinctOperators
 		tables += len(e.Meta.Tables)

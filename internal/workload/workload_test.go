@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sqlshare/internal/catalog"
+	"sqlshare/internal/history"
 	"sqlshare/internal/sqltypes"
 	"sqlshare/internal/storage"
 	"sqlshare/internal/synth"
@@ -465,7 +466,7 @@ func TestSessionization(t *testing.T) {
 	}
 	for user, list := range byUser {
 		for i := 1; i < len(list); i++ {
-			if gap := list[i].Start.Sub(list[i-1].End); gap <= workload.DefaultSessionGap {
+			if gap := list[i].Start.Sub(list[i-1].End); gap <= history.DefaultSessionGap {
 				t.Fatalf("user %s sessions %d/%d separated by only %v", user, i-1, i, gap)
 			}
 		}

@@ -33,6 +33,7 @@ import (
 	"sqlshare/internal/advisor"
 	"sqlshare/internal/catalog"
 	"sqlshare/internal/engine"
+	"sqlshare/internal/history"
 	"sqlshare/internal/ingest"
 	"sqlshare/internal/plan"
 	"sqlshare/internal/recommend"
@@ -49,8 +50,9 @@ type (
 	Dataset = catalog.Dataset
 	// Meta is dataset metadata (description + tags).
 	Meta = catalog.Meta
-	// LogEntry is one query-log record with its extracted plan.
-	LogEntry = catalog.LogEntry
+	// LogEntry is one query-log record with its extracted plan: the same
+	// record the history log and the release file serialize.
+	LogEntry = history.Record
 	// QueryPlan is the extracted JSON plan of a query (paper Listing 1).
 	QueryPlan = plan.QueryPlan
 	// IngestReport describes what relaxed-schema ingest did to a file.

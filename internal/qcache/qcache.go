@@ -156,8 +156,11 @@ func (c *Cache) get(key string) any {
 		return nil
 	}
 	sh.lru.MoveToFront(el)
+	// put replaces a resident entry's value in place, so read it under
+	// the shard lock.
+	val := e.val
 	sh.mu.Unlock()
-	return e.val
+	return val
 }
 
 func (c *Cache) put(key string, val any, size int64) {

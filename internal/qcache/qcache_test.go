@@ -129,6 +129,34 @@ func TestReplaceSameKeyAdjustsBytes(t *testing.T) {
 	}
 }
 
+// TestCacheConcurrentPutGetSameKey races a re-put of one key against
+// probes of it. A replace overwrites the resident entry in place, so a
+// probe must read the value under the shard lock; under -race this fails
+// if it does not.
+func TestCacheConcurrentPutGetSameKey(t *testing.T) {
+	c := New(1<<20, 0)
+	a, b := fakeResult("a", 1), fakeResult("b", 1)
+	c.PutResult("k", a)
+	const iters = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < iters; i++ {
+			if i%2 == 0 {
+				c.PutResult("k", b)
+			} else {
+				c.PutResult("k", a)
+			}
+		}
+	}()
+	for i := 0; i < iters; i++ {
+		if got := c.GetResult("k"); got != a && got != b {
+			t.Fatalf("probe %d returned %p, want one of the stored entries", i, got)
+		}
+	}
+	<-done
+}
+
 func TestOversizedEntryRejected(t *testing.T) {
 	c := New(1024, 0) // maxEntry = 128
 	c.PutResult("huge", fakeResult("0123456789", 100))

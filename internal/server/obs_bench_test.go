@@ -94,9 +94,9 @@ func benchServer(tb testing.TB, spans bool) *server.Server {
 // BenchmarkQuerySpansOn/Off price the span trace layer on the full
 // in-process service path (submit + status polls through the middleware);
 // the per-operator job tracer runs in both modes, so the delta is exactly
-// what span tracing adds. cmd/tracebench measures the same comparison over
-// real loopback HTTP with interleaved sampling; these exist for quick
-// -benchmem comparisons of the allocation budget.
+// what span tracing adds, allocations included with -benchmem. Over real
+// loopback HTTP the service benchmark's trace.overhead_frac (perfbench/)
+// prices its own per-layer probes on top of span tracing.
 func BenchmarkQuerySpansOn(b *testing.B) {
 	srv := benchServer(b, true)
 	b.ReportAllocs()

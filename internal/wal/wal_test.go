@@ -24,7 +24,7 @@ func testRecord(i int) *Record {
 	}
 }
 
-func openEmpty(t *testing.T, dir string, mode SyncMode) *Writer {
+func openEmpty(t testing.TB, dir string, mode SyncMode) *Writer {
 	t.Helper()
 	scan, err := ScanDir(dir, 0)
 	if err != nil {

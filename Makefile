@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test bench-test race race-engine race-cache race-obs race-ops race-load race-columnar race-cluster bench bench-insights bench-load bench-columnar smoke-load smoke-cluster fuzz-cache lint-handlers ci
+.PHONY: all build fmt vet test bench-test race race-engine race-cache race-obs race-ops race-load race-columnar race-cluster bench bench-insights bench-load bench-columnar smoke-load smoke-cluster fuzz-cache lint-handlers ci
 
 all: ci
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails listing any file gofmt would rewrite.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -113,4 +117,4 @@ smoke-load:
 smoke-cluster:
 	$(GO) run ./cmd/clustersmoke -ops 200 -rate 40 -kills 2
 
-ci: vet build lint-handlers race
+ci: fmt vet build lint-handlers race

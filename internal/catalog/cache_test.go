@@ -102,6 +102,9 @@ func TestQueryCacheHitMissAndFencing(t *testing.T) {
 	if e2.Plan.Trace != nil {
 		t.Error("cached plan must not carry the fill run's trace")
 	}
+	if e1.ResultBytes == 0 || e2.ResultBytes != e1.ResultBytes {
+		t.Errorf("hit resultBytes = %d, want the filling miss's %d", e2.ResultBytes, e1.ResultBytes)
+	}
 
 	// NoCache bypasses without touching the cache.
 	_, e3, err := c.QueryWithOptions("alice", sql, QueryOptions{NoCache: true})

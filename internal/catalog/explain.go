@@ -5,13 +5,42 @@ import (
 
 	"sqlshare/internal/engine"
 	"sqlshare/internal/plan"
+	"sqlshare/internal/sqlparser"
 	"sqlshare/internal/sqltypes"
 	"sqlshare/internal/storage"
 )
 
 // explain.go renders EXPLAIN [ANALYZE] operator trees as ordinary result
 // sets, so the statements flow through the unchanged query protocol: the
-// REST job endpoints and the CLI render them like any other rows.
+// REST job endpoints and the CLI render them like any other rows. Explain
+// returns the plan itself to embedded callers.
+
+// Explain returns the extracted plan for a query without executing it.
+func (c *Catalog) Explain(user, sql string) (*plan.QueryPlan, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	q, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range sqlparser.ReferencedTables(q) {
+		if strings.HasPrefix(name, basePrefix) {
+			continue
+		}
+		ds, err := c.lookupLocked(user, name)
+		if err != nil {
+			return nil, err
+		}
+		if err := c.checkAccessLocked(user, ds); err != nil {
+			return nil, err
+		}
+	}
+	p, err := engine.Compile(q, c.resolverLocked(user))
+	if err != nil {
+		return nil, err
+	}
+	return plan.FromEngine(sql, p), nil
+}
 
 // opIndent prefixes an operator label with its tree depth.
 func opIndent(depth int, label string) string {

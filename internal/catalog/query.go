@@ -67,7 +67,19 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 	if opts.Context == nil {
 		opts.Context = context.Background()
 	}
+	if opts.Parallelism <= 0 {
+		opts.Parallelism = runtime.GOMAXPROCS(0)
+	}
 	start := time.Now()
+	// The record is the query's run state: runQuery fills each field as its
+	// phase produces the value, and the record is logged and published
+	// below. A logged record is never written again.
+	rec := &history.Record{
+		User:    user,
+		SQL:     sql,
+		Cache:   CacheBypass,
+		TraceID: obs.TraceIDFromContext(opts.Context),
+	}
 	// Phase spans are retained-only instrumentation: runQuery records phase
 	// boundaries into a flat recorder, and the detail spans (parse →
 	// authorize → cache.probe → plan.compile → execute, plus the operator
@@ -75,90 +87,65 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 	// sampler keeps the trace. A sampled-out point query pays for one
 	// recorder and one closure, not five span lifecycles.
 	cur := obs.SpanFromContext(opts.Context)
-	var rec *phaseRecorder
+	var phases *phaseRecorder
 	if cur != nil {
-		rec = recorderPool.Get().(*phaseRecorder)
+		phases = recorderPool.Get().(*phaseRecorder)
 	}
 	// Register with the live-operations registry, when one is attached: the
 	// query becomes visible in /api/queries/running and killable by id, and
 	// the execution context is replaced by the registry's cancelable one.
 	var live *ops.Entry
 	if reg := c.liveOps.Load(); reg != nil {
-		dop := opts.Parallelism
-		if dop <= 0 {
-			dop = runtime.GOMAXPROCS(0)
-		}
 		var lctx context.Context
-		live, lctx = reg.Register(opts.Context, opts.OpsID, user, sql, dop)
+		live, lctx = reg.Register(opts.Context, opts.OpsID, user, sql, opts.Parallelism)
 		opts.Context = lctx
 		defer live.Finish()
 	}
-	run := c.runQuery(user, sql, opts, rec, live)
-	elapsed := time.Since(start)
-	if rec != nil {
+	run := c.runQuery(rec, opts, phases, live)
+	phases.end(run.err)
+	rec.RuntimeMillis = millis(time.Since(start))
+	if run.trace != nil {
+		// The one conversion to the spliced export tree, outside the read
+		// lock. Every reader after the engine uses it: EXPLAIN ANALYZE, the
+		// scanned-rows metric, the operator spans and the record itself.
+		rec.Plan.Trace = plan.FromTrace(run.trace)
+	}
+	if phases != nil {
+		if rec.Plan != nil {
+			phases.opTree = rec.Plan.Trace
+		}
 		// DeferOn guarantees Release (back to the pool) whether or not the
 		// tail sampler retains the trace and materializes the phases.
-		cur.DeferOn(rec)
+		cur.DeferOn(phases)
 	}
-	res, execErr := run.res, run.err
 
-	entry := &history.Record{
-		User:          user,
-		SQL:           sql,
-		Datasets:      run.datasets,
-		CompileMillis: millis(run.compile),
-		ExecuteMillis: millis(run.execute),
-		RuntimeMillis: millis(elapsed),
-		Cache:         run.cache,
-		TraceID:       obs.TraceIDFromContext(opts.Context),
-		ResultBytes:   run.resultBytes,
-	}
-	if run.plan != nil {
-		if run.prePlan != nil {
-			// The live registry already paid for extraction (for the template
-			// shown in /api/queries/running); reuse it instead of re-deriving.
-			entry.Plan = run.prePlan
-			entry.Meta = run.preMeta
-		} else {
-			entry.Plan = plan.FromEngine(sql, run.plan)
-			entry.Meta = plan.Extract(sql, entry.Plan)
-		}
-		if run.trace != nil {
-			entry.Plan.Trace = plan.FromTrace(run.trace)
-		}
-	} else if run.cache == CacheHit {
-		// A hit skips compilation; the record reuses the plan artifacts
-		// cached alongside the result.
-		entry.Plan = run.cachedPlan
-		entry.Meta = run.cachedMeta
-		entry.Digest = run.cachedDigest
-	}
-	if execErr == nil && run.explain {
+	res := run.res
+	if run.err == nil && run.explain {
 		// EXPLAIN [ANALYZE]: the result set is the operator tree itself —
 		// estimates alone, or estimates beside traced actuals.
 		if run.analyze {
-			res = explainAnalyzeResult(entry.Plan.Trace, run.cache)
+			res = explainAnalyzeResult(rec.Plan.Trace, rec.Cache)
 		} else {
-			res = explainResult(entry.Plan.Root)
+			res = explainResult(rec.Plan.Root)
 		}
 	}
-	if execErr != nil {
-		entry.Err = execErr.Error()
+	if run.err != nil {
+		rec.Err = run.err.Error()
 	} else {
-		entry.RowsReturned = len(res.Rows)
+		rec.RowsReturned = len(res.Rows)
 	}
 
-	c.recordQueryMetrics(run, elapsed, execErr)
+	c.recordQueryMetrics(rec, run)
 
 	// The digest is filled before the record is published: history and
-	// usage metering key on it, and a logged record is never written again.
+	// usage metering key on it.
 	hist := c.history.h.Load()
 	var usage *obs.UsageMeter
 	if m := c.metrics.Load(); m != nil {
 		usage = m.Usage
 	}
 	if hist != nil || usage != nil || run.storeKey != "" {
-		ensureDigest(entry)
+		ensureDigest(rec)
 	}
 
 	// Fill the result cache outside the lock: the versions in storeKey were
@@ -167,35 +154,36 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 	// is set only on a successful, compiled, non-EXPLAIN run.
 	if run.storeKey != "" {
 		if qc := c.resultCache.Load(); qc != nil {
-			stored := *entry.Plan
+			stored := *rec.Plan
 			stored.Trace = nil
 			qc.PutResult(run.storeKey, &qcache.ResultEntry{
 				Result: res,
 				Plan:   &stored,
-				Meta:   entry.Meta,
-				Digest: entry.Digest,
+				Meta:   rec.Meta,
+				Digest: rec.Digest,
+				Bytes:  rec.ResultBytes,
 			})
 		}
 	}
 
 	c.mu.Lock()
 	c.seq++
-	entry.ID = c.seq
-	entry.Time = c.now()
-	c.log = append(c.log, entry)
+	rec.ID = c.seq
+	rec.Time = c.now()
+	c.log = append(c.log, rec)
 	c.mu.Unlock()
 
 	if hist != nil {
-		hist.Record(entry)
+		hist.Record(rec)
 	}
 	if usage != nil {
-		entry.Meter(usage)
+		rec.Meter(usage)
 	}
 
-	if execErr != nil {
-		return nil, entry, execErr
+	if run.err != nil {
+		return nil, rec, run.err
 	}
-	return res, entry, nil
+	return res, rec, nil
 }
 
 // millis converts a duration to the record's fractional milliseconds.
@@ -204,9 +192,6 @@ func millis(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 // resultBytesOf estimates a result's payload width: the sum of value widths
 // across all cells, the same estimate the result cache charges.
 func resultBytesOf(res *engine.Result) int64 {
-	if res == nil {
-		return 0
-	}
 	var n int64
 	for _, row := range res.Rows {
 		for _, v := range row {
@@ -216,17 +201,14 @@ func resultBytesOf(res *engine.Result) int64 {
 	return n
 }
 
-// queryRun is the outcome of the read phase of a query: the result (or
-// error), the permission-checked dataset names, the compiled plan, the
-// execution trace, and the compile/execute latency split.
+// queryRun is what runQuery hands back beside the record it fills: the
+// result (or error), the compiled plan, and the raw engine trace, which
+// the caller converts to the record's spliced trace outside the lock.
 type queryRun struct {
-	res      *engine.Result
-	datasets []string
-	plan     *engine.Plan
-	trace    *engine.TraceNode
-	compile  time.Duration
-	execute  time.Duration
-	err      error
+	res   *engine.Result
+	err   error
+	plan  *engine.Plan
+	trace *engine.TraceNode
 	// explain marks an EXPLAIN [ANALYZE] statement; analyze additionally
 	// forces tracing and executes the inner query.
 	explain bool
@@ -234,62 +216,48 @@ type queryRun struct {
 	// workers is the largest worker count any operator actually used
 	// (1 = the whole query ran serial).
 	workers int
-	// cache is the CacheHit/CacheMiss/CacheBypass disposition of the run.
-	cache string
 	// storeKey, when non-empty, is the version-fenced key a successful
 	// result should be stored under. The versions inside it were captured
 	// under the same read lock the execution ran under, so filling after
 	// the lock is released is safe: a concurrent mutation produces a new
 	// key, never a match for this one.
 	storeKey string
-	// cachedPlan/cachedMeta/cachedDigest carry the plan artifacts of a
-	// cache hit so the record is populated without recompiling.
-	cachedPlan   *plan.QueryPlan
-	cachedMeta   *plan.Metadata
-	cachedDigest string
-	// prePlan/preMeta carry extraction artifacts computed eagerly for the
-	// live-operations registry, so the record reuses them instead of
-	// extracting twice.
-	prePlan *plan.QueryPlan
-	preMeta *plan.Metadata
-	// resultBytes estimates the result payload width (0 on error).
-	resultBytes int64
 }
 
-// recordQueryMetrics reports one finished query run to the metrics bundle,
-// if one is attached. elapsed is the end-to-end latency (the hit histogram
-// wants the full round trip, not the phase split).
-func (c *Catalog) recordQueryMetrics(run queryRun, elapsed time.Duration, execErr error) {
+// recordQueryMetrics reports one finished query to the metrics bundle, if
+// one is attached. The hit histogram observes the end-to-end runtime (the
+// full round trip, not the phase split).
+func (c *Catalog) recordQueryMetrics(rec *history.Record, run queryRun) {
 	m := c.metrics.Load()
 	if m == nil {
 		return
 	}
 	m.QueriesTotal.Inc()
-	switch run.cache {
+	switch rec.Cache {
 	case CacheHit:
 		m.CacheHits.Inc()
-		m.CacheHitSeconds.Observe(elapsed.Seconds())
+		m.CacheHitSeconds.Observe(rec.RuntimeMillis / 1e3)
 	case CacheMiss:
 		m.CacheMisses.Inc()
 	}
-	m.CompileSeconds.Observe(run.compile.Seconds())
+	m.CompileSeconds.Observe(rec.CompileMillis / 1e3)
 	if run.plan != nil {
-		m.ExecSeconds.Observe(run.execute.Seconds())
+		m.ExecSeconds.Observe(rec.ExecuteMillis / 1e3)
 	}
 	if run.workers > 1 {
 		m.ParallelQueries.Inc()
 	}
-	if execErr != nil {
+	if run.err != nil {
 		m.QueriesFailed.Inc()
-		if errors.Is(execErr, engine.ErrRowLimit) || errors.Is(execErr, engine.ErrMemLimit) {
+		if errors.Is(run.err, engine.ErrRowLimit) || errors.Is(run.err, engine.ErrMemLimit) {
 			m.QueriesAborted.Inc()
 		}
 	} else if run.res != nil {
 		m.RowsReturned.Add(int64(len(run.res.Rows)))
 	}
-	if run.trace != nil {
+	if rec.Plan != nil && rec.Plan.Trace != nil {
 		var scanned int64
-		walkTrace(run.trace, func(t *engine.TraceNode) {
+		rec.Plan.Trace.WalkTrace(func(t *plan.TraceNode) {
 			if t.Object != "" {
 				scanned += t.ActualRows
 			}
@@ -298,19 +266,9 @@ func (c *Catalog) recordQueryMetrics(run queryRun, elapsed time.Duration, execEr
 	}
 }
 
-func walkTrace(t *engine.TraceNode, f func(*engine.TraceNode)) {
-	if t == nil {
-		return
-	}
-	f(t)
-	for _, ch := range t.Children {
-		walkTrace(ch, f)
-	}
-}
-
 // phaseRec is one recorded pipeline phase, enough to rebuild its span.
 type phaseRec struct {
-	name         string
+	phase        ops.Phase
 	start        time.Time
 	dur          time.Duration
 	err          error
@@ -320,48 +278,69 @@ type phaseRec struct {
 }
 
 // setAttr records the phase's single attribute. Nil-safe so call sites can
-// chain off endPhase without re-checking the recorder.
+// annotate the phase the clock returned without re-checking the recorder.
 func (p *phaseRec) setAttr(k, v string) {
 	if p != nil {
 		p.attrK, p.attrV = k, v
 	}
 }
 
+// phaseSpans names the span of each pipeline phase.
+var phaseSpans = [...]string{
+	ops.PhaseParse:       "sql.parse",
+	ops.PhaseAuthorize:   "authorize",
+	ops.PhaseCacheProbe:  "cache.probe",
+	ops.PhasePlanCompile: "plan.compile",
+	ops.PhaseExecute:     "execute",
+}
+
 // phaseRecorder captures the pipeline phases of one traced run so their
 // detail spans can be deferred to trace assembly (retained traces only).
-// A nil recorder — any untraced run — makes every method a no-op.
+// A nil recorder — any untraced run — records nothing, but its next still
+// publishes the phase to the live registry.
 type phaseRecorder struct {
-	phases [6]phaseRec
-	n      int
-	// last is the previous phase's end — which on the contiguous pipeline
-	// is the next phase's start, saving a clock read per boundary.
-	last time.Time
-	// opTree/execStart carry the engine's per-operator trace so the
-	// waterfall can hang off the materialized execute span.
-	opTree    *engine.TraceNode
-	execStart time.Time
+	phases [len(phaseSpans)]phaseRec
+	// n counts the closed phases; when open is set, phases[n] is the
+	// phase in progress.
+	n    int
+	open bool
+	// opTree is the query's spliced operator trace, so the waterfall can
+	// hang off the materialized execute span.
+	opTree *plan.TraceNode
 }
 
-// lastTime returns the previous phase's end (the next phase's start).
-// Nil-safe: the untraced path takes no extra clock readings.
-func (r *phaseRecorder) lastTime() time.Time {
+// next is the query's phase clock: one call publishes phase to the live
+// registry, closes the open span phase and starts phase at the same
+// instant. It returns the started phase for annotation (nil when the run
+// is untraced).
+func (r *phaseRecorder) next(live *ops.Entry, phase ops.Phase) *phaseRec {
+	live.SetPhase(phase)
 	if r == nil {
-		return time.Time{}
-	}
-	return r.last
-}
-
-// endPhase records a phase that started at start and just finished.
-func (r *phaseRecorder) endPhase(name string, start time.Time, err error) *phaseRec {
-	if r == nil || r.n == len(r.phases) {
 		return nil
 	}
-	end := time.Now()
-	r.last = end
+	now := time.Now()
+	r.close(now, nil)
+	r.open = true
 	p := &r.phases[r.n]
-	r.n++
-	*p = phaseRec{name: name, start: start, dur: end.Sub(start), err: err}
+	*p = phaseRec{phase: phase, start: now}
 	return p
+}
+
+// end closes the open phase, ending it with err. Nil-safe.
+func (r *phaseRecorder) end(err error) {
+	if r != nil {
+		r.close(time.Now(), err)
+	}
+}
+
+func (r *phaseRecorder) close(now time.Time, err error) {
+	if !r.open {
+		return
+	}
+	p := &r.phases[r.n]
+	p.dur, p.err = now.Sub(p.start), err
+	r.n++
+	r.open = false
 }
 
 // recorderPool recycles phase recorders: one is taken per traced query and
@@ -381,7 +360,7 @@ func (r *phaseRecorder) Release() {
 func (r *phaseRecorder) Materialize(sp *obs.Span) {
 	for i := 0; i < r.n; i++ {
 		p := &r.phases[i]
-		ch := sp.Child(p.name, p.start, p.dur)
+		ch := sp.Child(phaseSpans[p.phase], p.start, p.dur)
 		if ch == nil {
 			return
 		}
@@ -392,220 +371,191 @@ func (r *phaseRecorder) Materialize(sp *obs.Span) {
 		ch.AddRows(p.rows)
 		ch.AddBytes(p.bytes)
 		ch.AddCPU(p.cpu)
-		if p.name == "execute" && r.opTree != nil {
-			attachOperatorSpans(ch, r.opTree, r.execStart)
+		if p.phase == ops.PhaseExecute && r.opTree != nil {
+			attachOperatorSpans(ch, r.opTree, p.start)
 		}
 	}
 }
 
-// runQuery performs the read phase of Query under the read lock. On traced
-// runs each pipeline phase — sql.parse → authorize → cache.probe →
-// plan.compile → execute — is recorded into rec (nil when the request
-// carries no active trace); the caller defers materializing them as
-// siblings under its span so the waterfall reads as the phases of one
-// request without costing sampled-out traces anything.
-func (c *Catalog) runQuery(user, sql string, opts QueryOptions, rec *phaseRecorder, live *ops.Entry) queryRun {
+// runQuery performs the read phase of Query under the read lock, filling
+// rec as each phase produces its value: Datasets, Cache, CompileMillis,
+// Plan and Meta right after compile (one extraction per query), then
+// ExecuteMillis and ResultBytes. phases, nil when the request carries no
+// active trace, records the pipeline phases so the caller can defer them
+// as sibling spans under its span; live publishes the same phases to the
+// live-operations registry.
+func (c *Catalog) runQuery(rec *history.Record, opts QueryOptions, phases *phaseRecorder, live *ops.Entry) queryRun {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var run queryRun
-	run.cache = CacheBypass
-	cur := obs.SpanFromContext(opts.Context)
-	live.SetPhase(ops.PhaseParse)
-	compileStart := time.Now()
-	stmt, err := sqlparser.ParseStatement(sql)
-	rec.endPhase("sql.parse", compileStart, err)
-	if err != nil {
-		run.compile = time.Since(compileStart)
+	start := time.Now()
+	resultKey, err := c.prepareLocked(rec, opts, &run, phases, live)
+	rec.CompileMillis = millis(time.Since(start))
+	if err != nil || run.plan == nil {
+		// The one exit for parse, authorize and compile failures, and for
+		// a cache hit (run.res holds the cached result).
 		run.err = err
 		return run
 	}
-	var q sqlparser.QueryExpr
-	switch s := stmt.(type) {
-	case *sqlparser.ExplainStmt:
-		run.explain = true
-		run.analyze = s.Analyze
-		if s.Analyze {
-			// EXPLAIN ANALYZE executes with tracing forced on: the result
-			// is the estimate-vs-actual operator tree.
-			opts.Trace = true
-		}
-		q = s.Query
-	case *sqlparser.QueryStatement:
-		q = s.Query
-	}
-	// Permission-check every directly referenced dataset before compiling.
-	live.SetPhase(ops.PhaseAuthorize)
-	authStart := rec.lastTime()
-	for _, name := range sqlparser.ReferencedTables(q) {
-		if strings.HasPrefix(name, basePrefix) {
-			run.compile = time.Since(compileStart)
-			run.err = &AccessError{User: user, Dataset: name, Reason: "base tables are internal"}
-			rec.endPhase("authorize", authStart, run.err)
-			return run
-		}
-		ds, err := c.lookupLocked(user, name)
-		if err != nil {
-			run.compile = time.Since(compileStart)
-			run.err = err
-			rec.endPhase("authorize", authStart, err)
-			return run
-		}
-		if err := c.checkAccessLocked(user, ds); err != nil {
-			run.compile = time.Since(compileStart)
-			run.err = err
-			rec.endPhase("authorize", authStart, err)
-			return run
-		}
-		run.datasets = append(run.datasets, ds.FullName())
-	}
-	if p := rec.endPhase("authorize", authStart, nil); p != nil {
-		p.setAttr("datasets", strconv.Itoa(len(run.datasets)))
-	}
-	// Probe the version-fenced cache. The closure versions are read under
-	// the same read lock the whole run holds, so they describe exactly the
-	// catalog state this execution observes — captured before execution
-	// starts, as the fencing contract requires. EXPLAIN always bypasses:
-	// its product is the plan, not the result.
-	cache := c.resultCache.Load()
-	cacheable := cache != nil && !opts.NoCache && !run.explain && q != nil
-	var resultKey, planKey string
-	live.SetPhase(ops.PhaseCacheProbe)
-	probeStart := rec.lastTime()
-	if cacheable {
-		canonical := q.SQL()
-		vv, ok := c.versionClosureLocked(user, q)
-		if !ok {
-			// Unresolvable dependency closure (the compile below will fail,
-			// or resolution is ambiguous): don't cache against it.
-			cacheable = false
-		} else {
-			resultKey = qcache.ResultKey(user, canonical, opts.MaxRows, vv)
-			planKey = qcache.PlanKey(user, canonical, opts.MaxRows, vv)
-			if ent := cache.GetResult(resultKey); ent != nil {
-				run.compile = time.Since(compileStart)
-				run.cache = CacheHit
-				run.res = ent.Result
-				run.cachedPlan = ent.Plan
-				run.cachedMeta = ent.Meta
-				run.cachedDigest = ent.Digest
-				run.resultBytes = resultBytesOf(run.res)
-				// The cache disposition must land on a *live* span: the
-				// tail sampler reads it before deferred phases materialize.
-				cur.SetAttr("cache", run.cache)
-				if p := rec.endPhase("cache.probe", probeStart, nil); p != nil {
-					p.setAttr("cache", run.cache)
-					p.rows = int64(len(run.res.Rows))
-					p.bytes = run.resultBytes
-				}
-				return run
-			}
-			run.cache = CacheMiss
-		}
-	}
-	// Tag the disposition only when a cache was in play or the caller
-	// explicitly skipped one: the tail sampler retains "bypass" traces as
-	// interesting, which a cacheless server's every query is not.
-	tagCache := cache != nil || opts.NoCache
-	if tagCache {
-		cur.SetAttr("cache", run.cache)
-	}
-	if p := rec.endPhase("cache.probe", probeStart, nil); p != nil && tagCache {
-		p.setAttr("cache", run.cache)
-	}
-	var p *engine.Plan
-	live.SetPhase(ops.PhasePlanCompile)
-	compilePhaseStart := rec.lastTime()
-	if cacheable {
-		p = cache.GetPlan(planKey)
-	}
-	planCached := p != nil
-	if p == nil {
-		var err error
-		p, err = engine.Compile(q, c.resolverLocked(user))
-		if err != nil {
-			run.compile = time.Since(compileStart)
-			run.err = err
-			rec.endPhase("plan.compile", compilePhaseStart, err)
-			return run
-		}
-		if cacheable {
-			cache.PutPlan(planKey, p)
-		}
-	}
-	if pr := rec.endPhase("plan.compile", compilePhaseStart, nil); pr != nil && planCached {
-		pr.setAttr("planCache", "hit")
-	}
-	run.compile = time.Since(compileStart)
-	run.plan = p
-	if live != nil {
-		// Publish plan identity to the live registry: the normalized template
-		// (what history clusters on; the registry hashes it into a digest only
-		// when a snapshot asks) and the progress-estimate denominator. The
-		// extraction artifacts ride along on the run so the record reuses
-		// them — one extraction per query either way.
-		run.prePlan = plan.FromEngine(sql, p)
-		run.preMeta = plan.Extract(sql, run.prePlan)
-		live.SetPlan(run.preMeta.Template, p.EstRowsTotal())
-	}
+	// The query's one plan extraction. The live registry takes plan
+	// identity from it: the normalized template (what history clusters on;
+	// the registry hashes it into a digest only when a snapshot asks) and
+	// the progress-estimate denominator.
+	rec.Plan = plan.FromEngine(rec.SQL, run.plan)
+	rec.Meta = plan.Extract(rec.SQL, rec.Plan)
+	live.SetPlan(rec.Meta.Template, run.plan.EstRowsTotal())
 	if run.explain && !run.analyze {
 		// Plain EXPLAIN compiles only; the caller renders the estimates.
 		return run
 	}
-	dop := opts.Parallelism
-	if dop <= 0 {
-		dop = runtime.GOMAXPROCS(0)
-	}
-	live.SetPhase(ops.PhaseExecute)
+	ep := phases.next(live, ops.PhaseExecute)
 	ctx := &engine.ExecContext{
 		Now: c.now(), MaxRows: opts.MaxRows, MaxBytes: opts.MaxBytes,
-		DOP: dop, Ctx: opts.Context, Progress: live.Progress(),
+		DOP: opts.Parallelism, Ctx: opts.Context, Progress: live.Progress(),
 	}
-	if opts.Trace {
+	if opts.Trace || run.analyze {
+		// EXPLAIN ANALYZE executes with tracing forced on: the result is
+		// the estimate-vs-actual operator tree.
 		ctx.EnableTracing()
 	}
 	execStart := time.Now()
-	res, err := p.Execute(ctx)
-	run.execute = time.Since(execStart)
-	run.trace = p.BuildTrace(ctx)
+	res, err := run.plan.Execute(ctx)
+	execute := time.Since(execStart)
+	rec.ExecuteMillis = millis(execute)
+	run.trace = run.plan.BuildTrace(ctx)
 	run.workers = ctx.MaxWorkers()
-	ep := rec.endPhase("execute", execStart, err)
 	if ep != nil {
-		ep.cpu = run.execute
+		ep.cpu = execute
 		if run.workers > 1 {
 			ep.setAttr("workers", strconv.Itoa(run.workers))
 		}
-		// The operator tree rides along so the waterfall can hang off the
-		// materialized execute span — retained-only work, like the phases.
-		rec.opTree = run.trace
-		rec.execStart = execStart
 	}
 	if err != nil {
 		run.err = err
 		return run
 	}
 	run.res = res
-	run.resultBytes = resultBytesOf(res)
+	rec.ResultBytes = resultBytesOf(res)
 	if ep != nil {
 		ep.rows = int64(len(res.Rows))
-		ep.bytes = run.resultBytes
+		ep.bytes = rec.ResultBytes
 	}
-	if cacheable && p.Deterministic() {
+	if resultKey != "" && run.plan.Deterministic() {
 		run.storeKey = resultKey
 	}
 	return run
 }
 
-// attachOperatorSpans bridges the engine's per-operator TraceNode tree
-// (measured by the PR-1 operator tracer, present only on traced runs) into
-// the span tree as completed children of the execute span. Operator wall
-// times are inclusive of children, and per-operator start offsets are not
-// tracked by the engine, so every bridged span starts at the execution
-// start: the waterfall shows relative operator cost, not scheduling order.
-func attachOperatorSpans(parent *obs.Span, t *engine.TraceNode, start time.Time) {
+// prepareLocked runs the pipeline up to execution — parse, authorize,
+// cache probe, compile — filling rec.Datasets and rec.Cache. It leaves the
+// compiled plan in run.plan or, on a cache hit, the cached result in
+// run.res and the cached plan artifacts on rec. It returns the key a
+// successful execution should fill ("" when the result is not cacheable).
+// The caller holds the read lock.
+func (c *Catalog) prepareLocked(rec *history.Record, opts QueryOptions, run *queryRun, phases *phaseRecorder, live *ops.Entry) (string, error) {
+	phases.next(live, ops.PhaseParse)
+	stmt, err := sqlparser.ParseStatement(rec.SQL)
+	if err != nil {
+		return "", err
+	}
+	var q sqlparser.QueryExpr
+	switch s := stmt.(type) {
+	case *sqlparser.ExplainStmt:
+		run.explain, run.analyze = true, s.Analyze
+		q = s.Query
+	case *sqlparser.QueryStatement:
+		q = s.Query
+	}
+	// Permission-check every directly referenced dataset before compiling.
+	auth := phases.next(live, ops.PhaseAuthorize)
+	for _, name := range sqlparser.ReferencedTables(q) {
+		if strings.HasPrefix(name, basePrefix) {
+			return "", &AccessError{User: rec.User, Dataset: name, Reason: "base tables are internal"}
+		}
+		ds, err := c.lookupLocked(rec.User, name)
+		if err != nil {
+			return "", err
+		}
+		if err := c.checkAccessLocked(rec.User, ds); err != nil {
+			return "", err
+		}
+		rec.Datasets = append(rec.Datasets, ds.FullName())
+	}
+	auth.setAttr("datasets", strconv.Itoa(len(rec.Datasets)))
+	// Probe the version-fenced cache. The closure versions are read under
+	// the same read lock the whole run holds, so they describe exactly the
+	// catalog state this execution observes — captured before execution
+	// starts, as the fencing contract requires. EXPLAIN always bypasses:
+	// its product is the plan, not the result.
+	probe := phases.next(live, ops.PhaseCacheProbe)
+	cur := obs.SpanFromContext(opts.Context)
+	cache := c.resultCache.Load()
+	cacheable := cache != nil && !opts.NoCache && !run.explain && q != nil
+	var resultKey, planKey string
+	if cacheable {
+		canonical := q.SQL()
+		vv, ok := c.versionClosureLocked(rec.User, q)
+		if !ok {
+			// Unresolvable dependency closure (the compile below will fail,
+			// or resolution is ambiguous): don't cache against it.
+			cacheable = false
+		} else {
+			resultKey = qcache.ResultKey(rec.User, canonical, opts.MaxRows, vv)
+			planKey = qcache.PlanKey(rec.User, canonical, opts.MaxRows, vv)
+			if ent := cache.GetResult(resultKey); ent != nil {
+				rec.Cache = CacheHit
+				rec.Plan, rec.Meta, rec.Digest = ent.Plan, ent.Meta, ent.Digest
+				rec.ResultBytes = ent.Bytes
+				run.res = ent.Result
+				// The cache disposition must land on a *live* span: the
+				// tail sampler reads it before deferred phases materialize.
+				cur.SetAttr("cache", CacheHit)
+				if probe != nil {
+					probe.setAttr("cache", CacheHit)
+					probe.rows = int64(len(ent.Result.Rows))
+					probe.bytes = ent.Bytes
+				}
+				return "", nil
+			}
+			rec.Cache = CacheMiss
+		}
+	}
+	// Tag the disposition only when a cache was in play or the caller
+	// explicitly skipped one: the tail sampler retains "bypass" traces as
+	// interesting, which a cacheless server's every query is not.
+	if cache != nil || opts.NoCache {
+		cur.SetAttr("cache", rec.Cache)
+		probe.setAttr("cache", rec.Cache)
+	}
+	comp := phases.next(live, ops.PhasePlanCompile)
+	if cacheable {
+		if run.plan = cache.GetPlan(planKey); run.plan != nil {
+			comp.setAttr("planCache", "hit")
+			return resultKey, nil
+		}
+	}
+	p, err := engine.Compile(q, c.resolverLocked(rec.User))
+	if err != nil {
+		return "", err
+	}
+	if cacheable {
+		cache.PutPlan(planKey, p)
+	}
+	run.plan = p
+	return resultKey, nil
+}
+
+// attachOperatorSpans bridges the query's spliced operator trace into the
+// span tree as completed children of the execute span, node for node with
+// the trace that /trace and EXPLAIN ANALYZE show. Operator wall times are
+// inclusive of children, and per-operator start offsets are not tracked by
+// the engine, so every bridged span starts at the execution start: the
+// waterfall shows relative operator cost, not scheduling order.
+func attachOperatorSpans(parent *obs.Span, t *plan.TraceNode, start time.Time) {
 	if parent == nil || t == nil {
 		return
 	}
-	sp := parent.Child("op:"+t.PhysicalOp, start, t.Wall)
+	sp := parent.Child("op:"+t.PhysicalOp, start, time.Duration(t.WallMillis*float64(time.Millisecond)))
 	if sp == nil {
 		return
 	}
@@ -618,33 +568,6 @@ func attachOperatorSpans(parent *obs.Span, t *engine.TraceNode, start time.Time)
 	for _, ch := range t.Children {
 		attachOperatorSpans(sp, ch, start)
 	}
-}
-
-// Explain returns the extracted plan for a query without executing it.
-func (c *Catalog) Explain(user, sql string) (*plan.QueryPlan, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	q, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range sqlparser.ReferencedTables(q) {
-		if strings.HasPrefix(name, basePrefix) {
-			continue
-		}
-		ds, err := c.lookupLocked(user, name)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.checkAccessLocked(user, ds); err != nil {
-			return nil, err
-		}
-	}
-	p, err := engine.Compile(q, c.resolverLocked(user))
-	if err != nil {
-		return nil, err
-	}
-	return plan.FromEngine(sql, p), nil
 }
 
 // Log returns the query log in execution order.

@@ -266,33 +266,17 @@ func (s *Span) EndErr(err error) {
 	s.End()
 }
 
-// Defer schedules fn to run only if the trace is retained, immediately
-// before the export tree is assembled. This is the tail-sampling cost model
-// applied to instrumentation itself: work that is expensive to record and
-// worthless for a sampled-out trace — like bridging the engine's
-// per-operator tracer into child spans — costs one closure on the fast
-// path and is paid for only when the trace turns out interesting. fn runs
-// on the finalizing goroutine and may create spans (via Child); it must not
-// touch the trace store. No-op on a nil span or a finished trace.
-func (s *Span) Defer(fn func()) {
-	if s == nil {
-		return
-	}
-	tb := s.tb
-	tb.mu.Lock()
-	if !tb.done {
-		tb.deferred = append(tb.deferred, fn)
-	}
-	tb.mu.Unlock()
-}
-
-// Deferred is retained-only instrumentation with a lifecycle: Materialize
-// runs only if the trace is retained (like Span.Defer), with the span it
-// was attached to as the parent; Release always runs exactly once when the
-// trace finalizes — retained or not — so implementations can return their
-// recording state to a pool. Prefer this over Defer when the instrumenting
-// side carries per-request scratch memory: the closure and the scratch both
-// stop costing an allocation.
+// Deferred is retained-only instrumentation with a lifecycle. This is the
+// tail-sampling cost model applied to instrumentation itself: work that is
+// expensive to record and worthless for a sampled-out trace — like
+// rendering a query's recorded phases and operator waterfall as spans —
+// is paid for only when the trace turns out interesting. Materialize runs
+// only if the trace is retained, on the finalizing goroutine just before
+// the export tree is assembled, with the span it was attached to as the
+// parent; it may create spans (via Child) but must not touch the trace
+// store. Release always runs exactly once when the trace finalizes —
+// retained or not — so implementations can return their recording state
+// to a pool.
 type Deferred interface {
 	Materialize(parent *Span)
 	Release()
@@ -380,17 +364,16 @@ type TraceBuilder struct {
 	id    string
 	start time.Time
 
-	mu       sync.Mutex
-	rng      uint64 // splitmix64 state for span IDs (guarded by mu)
-	spans    []*Span
-	dropped  int
-	holds    int
-	forced   bool
-	done     bool
-	deferred []func() // retained-only instrumentation; see Span.Defer
-	// deferredOps are retained-only instrumentation with pooled state; see
-	// Span.DeferOn. Materialize runs beside deferred at assembly; Release
-	// runs unconditionally at recycle.
+	mu      sync.Mutex
+	rng     uint64 // splitmix64 state for span IDs (guarded by mu)
+	spans   []*Span
+	dropped int
+	holds   int
+	forced  bool
+	done    bool
+	// deferredOps are retained-only instrumentation; see Span.DeferOn.
+	// Materialize runs at assembly; Release runs unconditionally at
+	// recycle.
 	deferredOps []deferredOp
 	// assembling re-opens newSpan for the deferred callbacks, which run
 	// after done is set but may still add spans to the export tree.
@@ -456,7 +439,7 @@ func newTraceBuilder(store *TraceStore, remote SpanContext, start time.Time) *Tr
 // store at the end of finish(), when the summary — and, for retained
 // traces, the assembled SpanData copies — are the only surviving exports.
 // Attribute arrays are kept (cleared) so steady-state spans re-attach
-// attributes without allocating; span pointers, deferred closures and
+// attributes without allocating; span pointers, deferred ops and
 // string references are dropped so recycled builders pin nothing.
 func (tb *TraceBuilder) recycle() {
 	for _, sp := range tb.spans {
@@ -466,8 +449,6 @@ func (tb *TraceBuilder) recycle() {
 	}
 	clear(tb.spans)
 	tb.spans = tb.spans[:0]
-	clear(tb.deferred)
-	tb.deferred = tb.deferred[:0]
 	// Deferred ops get their guaranteed Release here — after assemble ran
 	// Materialize on retained traces, and as the only callback on
 	// sampled-out ones — so pooled recorders always come home.
@@ -617,15 +598,10 @@ func (tb *TraceBuilder) summarize() summaryInfo {
 // never paid for on the sampled-out fast path.
 func (tb *TraceBuilder) assemble(info summaryInfo) *Trace {
 	tb.mu.Lock()
-	deferred := tb.deferred
-	tb.deferred = nil
 	ops := tb.deferredOps
-	tb.assembling = len(deferred)+len(ops) > 0
+	tb.assembling = len(ops) > 0
 	tb.mu.Unlock()
-	if len(deferred)+len(ops) > 0 {
-		for _, fn := range deferred {
-			fn()
-		}
+	if len(ops) > 0 {
 		for _, op := range ops {
 			op.d.Materialize(op.sp)
 		}

@@ -68,7 +68,6 @@ func TestNilSafety(t *testing.T) {
 	sp.Fail(nil)
 	sp.End()
 	sp.EndErr(nil)
-	sp.Defer(func() { t.Fatal("deferred fn ran on nil span") })
 	sp.Child("c", time.Now(), time.Second)
 	if sp.Context().Valid() || sp.Traceparent() != "" || sp.TraceID() != "" {
 		t.Fatal("nil span leaked identity")
@@ -136,33 +135,32 @@ func TestChildSpanParentage(t *testing.T) {
 	}
 }
 
-// TestDeferRetainedOnly: deferred instrumentation runs at assembly for
-// retained traces and never runs for sampled-out ones.
+// TestDeferRetainedOnly: deferred instrumentation materializes at
+// assembly for retained traces and never for sampled-out ones, and a
+// span it creates at assembly is exported and counted in the summary.
 func TestDeferRetainedOnly(t *testing.T) {
 	st := NewTraceStore(TraceConfig{Slow: time.Hour}) // nothing is slow
-	var ran bool
+	var fast fakeDeferred
 	ctx, root := st.StartTrace(context.Background(), "fast", SpanContext{})
-	root.Defer(func() { ran = true })
+	root.DeferOn(&fast)
 	root.End()
 	FinishTrace(ctx)
-	if ran {
-		t.Fatal("deferred fn ran for a sampled-out trace")
+	if fast.materialized != 0 {
+		t.Fatal("deferred instrumentation ran for a sampled-out trace")
 	}
 
+	var kept fakeDeferred
 	ctx, root = st.StartTrace(context.Background(), "kept", SpanContext{})
 	id := root.TraceID()
 	ForceRetain(ctx)
-	root.Defer(func() {
-		ran = true
-		root.Child("late", root.start, time.Millisecond).SetAttr("from", "defer")
-	})
+	root.DeferOn(&kept)
 	root.End()
 	FinishTrace(ctx)
-	if !ran {
-		t.Fatal("deferred fn did not run for a retained trace")
+	if kept.materialized != 1 {
+		t.Fatal("deferred instrumentation did not run for a retained trace")
 	}
 	tr, _ := st.Get(id)
-	if tr == nil || len(tr.Spans) != 2 {
+	if tr == nil || len(tr.Spans) != 2 || tr.Spans[1].Name != "deferred" {
 		t.Fatalf("deferred span missing from export: %+v", tr)
 	}
 	if s := st.Summaries(1); len(s) != 1 || s[0].Spans != 2 {

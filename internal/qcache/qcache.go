@@ -34,6 +34,10 @@ type ResultEntry struct {
 	Plan   *plan.QueryPlan
 	Meta   *plan.Metadata
 	Digest string
+	// Bytes is the result's payload width (the sum of its cells' value
+	// widths), computed once by the filling run; a hit reports it as its
+	// record's ResultBytes.
+	Bytes int64
 }
 
 // numShards bounds lock contention: keys hash onto independent LRU shards.
@@ -264,21 +268,17 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// resultSize estimates the bytes a result entry retains: every cell's
-// value size plus per-row and per-column overhead.
+// resultSize estimates the bytes a result entry retains: the payload
+// width plus per-row and per-column overhead.
 func resultSize(ent *ResultEntry) int64 {
 	n := int64(512)
 	if ent.Result != nil {
 		for _, col := range ent.Result.Cols {
 			n += int64(len(col.Name)+len(col.Binding)+len(col.Source)) + 24
 		}
-		for _, row := range ent.Result.Rows {
-			n += 24
-			for _, v := range row {
-				n += int64(v.SizeBytes())
-			}
-		}
+		n += 24 * int64(len(ent.Result.Rows))
 	}
+	n += ent.Bytes
 	if ent.Meta != nil {
 		n += int64(len(ent.Meta.Template))
 	}

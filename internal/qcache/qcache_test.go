@@ -13,10 +13,11 @@ import (
 // fakeResult builds a result entry whose estimated size scales with rows.
 func fakeResult(cell string, rows int) *ResultEntry {
 	res := &engine.Result{Cols: []engine.ColMeta{{Name: "c"}}}
+	v := sqltypes.NewString(cell)
 	for i := 0; i < rows; i++ {
-		res.Rows = append(res.Rows, storage.Row{sqltypes.NewString(cell)})
+		res.Rows = append(res.Rows, storage.Row{v})
 	}
-	return &ResultEntry{Result: res}
+	return &ResultEntry{Result: res, Bytes: int64(rows * v.SizeBytes())}
 }
 
 // sameShardKeys returns n distinct keys that all hash onto one shard, so

@@ -46,9 +46,8 @@ type job struct {
 	state   jobState
 	result  *engine.Result
 	rec     *history.Record // the query's log record, set before done closes
-	errText string
-	aborted bool   // failed with a resource limit (row or memory; HTTP 422)
-	traceID string // span trace the execution belongs to, if tracing is on
+	aborted bool            // failed with a resource limit (row or memory; HTTP 422)
+	traceID string          // span trace the execution belongs to, if tracing is on
 	done    chan struct{}
 }
 
@@ -175,7 +174,6 @@ func (s *Server) runJob(j *job, ctx context.Context, release func()) {
 		if errors.Is(err, ops.ErrKilled) {
 			j.state = jobKilled
 		}
-		j.errText = err.Error()
 		j.aborted = errors.Is(err, engine.ErrRowLimit) || errors.Is(err, engine.ErrMemLimit)
 	} else {
 		j.state = jobDone
@@ -234,9 +232,9 @@ func (s *Server) handleQueryStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	switch j.state {
 	case jobKilled:
-		out["error"] = j.errText
+		out["error"] = j.rec.Err
 	case jobFailed:
-		out["error"] = j.errText
+		out["error"] = j.rec.Err
 		if j.aborted {
 			// Row-limit aborts are a client-addressable condition (tighten
 			// the query), not a server failure.

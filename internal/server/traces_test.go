@@ -129,9 +129,14 @@ func TestSlowQuerySpanTreeEndToEnd(t *testing.T) {
 	// The engine's per-operator actuals bridge into op:* children of the
 	// execute phase (the PR-1 tracer measured them; spans re-export them).
 	// Nested operators parent under their parent operator, so only the root
-	// of the waterfall must hang directly off the execute phase.
+	// of the waterfall must hang directly off the execute phase. The spans
+	// mirror the spliced export trace, so the query's bare-column projection
+	// (an invisible operator) must not surface as a nameless "op:" span.
 	sawOp, rootedOp := false, false
 	for name, sp := range byName {
+		if name == "op:" {
+			t.Errorf("nameless operator span %q in tree; got %v", name, keysOf(byName))
+		}
 		if strings.HasPrefix(name, "op:") {
 			sawOp = true
 			if sp["parentId"] == byName["execute"]["spanId"] {

@@ -35,9 +35,11 @@ race-engine:
 
 # The cache suites under the race detector: query goroutines racing
 # mutation goroutines must never observe a stale cached result (see
-# README "Result caching").
+# README "Result caching"), readers of a dataset must not race its appends,
+# and rows forwarded from the tables' clustered slices through append
+# chains must never be written.
 race-cache:
-	$(GO) test -race -run 'Cache|Version|Preview|Subplan|Subquery' ./internal/catalog/... ./internal/qcache/... ./internal/engine/... .
+	$(GO) test -race -run 'Cache|Version|Preview|Subplan|Subquery|AppendChain|DatasetSnapshotRace' ./internal/catalog/... ./internal/qcache/... ./internal/engine/... .
 
 # The observability suites under the race detector: concurrent metric
 # registration, span creation from job goroutines racing finalization,

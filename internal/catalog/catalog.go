@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -97,6 +98,18 @@ type Dataset struct {
 
 // FullName returns the canonical "owner.name" identity.
 func (d *Dataset) FullName() string { return d.Owner + "." + d.Name }
+
+// snapshot copies d for a caller outside the catalog lock: appends,
+// sharing and preview refreshes rewrite the live Dataset's fields under the
+// write lock. Its slices are replaced, never written in place, so the copy
+// shares them; its maps are written in place, so they are cloned. Call
+// with the catalog lock held.
+func (d *Dataset) snapshot() *Dataset {
+	cp := *d
+	cp.SharedWith = maps.Clone(d.SharedWith)
+	cp.PreviewVersions = maps.Clone(d.PreviewVersions)
+	return &cp
+}
 
 // Catalog is the SQLShare metadata store.
 type Catalog struct {
@@ -275,7 +288,7 @@ func (c *Catalog) CreateDatasetFromTableContext(ctx context.Context, owner, name
 		return nil, err
 	}
 	c.countOp("create_dataset")
-	return c.datasets[full], nil
+	return c.datasets[full].snapshot(), nil
 }
 
 // SaveView creates a derived dataset from a query (Fig 2e). Any top-level
@@ -317,7 +330,7 @@ func (c *Catalog) SaveViewContext(ctx context.Context, owner, name, sql string, 
 		return nil, err
 	}
 	c.countOp("save_view")
-	return c.datasets[full], nil
+	return c.datasets[full].snapshot(), nil
 }
 
 // Append implements the REST convenience call of §3.2: rewrite dataset
@@ -424,7 +437,7 @@ func (c *Catalog) MaterializeContext(ctx context.Context, owner, source, snapsho
 		return nil, err
 	}
 	c.countOp("materialize")
-	return c.datasets[full], nil
+	return c.datasets[full].snapshot(), nil
 }
 
 // MaterializeInPlace swaps a derived view's definition for a physical
@@ -610,7 +623,7 @@ func (c *Catalog) Dataset(user, name string) (*Dataset, error) {
 	if err := c.checkAccessLocked(user, ds); err != nil {
 		return nil, err
 	}
-	return ds, nil
+	return ds.snapshot(), nil
 }
 
 // Datasets returns all live datasets (for analysis and listing), sorted by
@@ -623,7 +636,7 @@ func (c *Catalog) Datasets(includeDeleted bool) []*Dataset {
 		if ds.Deleted && !includeDeleted {
 			continue
 		}
-		out = append(out, ds)
+		out = append(out, ds.snapshot())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FullName() < out[j].FullName() })
 	return out

@@ -2,8 +2,11 @@ package catalog
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"sqlshare/internal/storage"
 )
 
 // TestConcurrentQueriesAndMutations hammers the catalog from many
@@ -85,5 +88,74 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 	// The log captured all queries (4*30 readers + 10 deleter queries).
 	if got := c.LogSize(); got != 130 {
 		t.Errorf("log size = %d, want 130", got)
+	}
+}
+
+// TestDatasetSnapshotRace reads datasets returned by the catalog while a
+// writer appends to and shares the same dataset. Append rewrites SQL and
+// Query and the preview refresh rewrites Preview, PreviewCols and
+// PreviewVersions, all under the write lock; the accessors must therefore
+// hand out copies, not the live *Dataset. Run with -race.
+func TestDatasetSnapshotRace(t *testing.T) {
+	c := newTestCatalog(t)
+	batches := make([]*storage.Table, 20)
+	for i := range batches {
+		batches[i] = seedTable(t, fmt.Sprintf("batch_%d", i))
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 1)
+	go func() {
+		defer close(done)
+		for i, tbl := range batches {
+			name := tbl.Name()
+			if _, err := c.CreateDatasetFromTable("alice", name, tbl, Meta{}); err != nil {
+				errs <- err
+				return
+			}
+			if err := c.Append("alice", "water", name); err != nil {
+				errs <- err
+				return
+			}
+			if i%10 == 5 {
+				if err := c.ShareWith("alice", "water", []string{"bob", "carol"}[i/10]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+	}()
+	var n int
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		ds, err := c.Dataset("alice", "alice.water")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += len(ds.SQL) + len(ds.Preview) + len(ds.PreviewCols) + len(ds.PreviewVersions) + len(ds.SharedWith)
+		for _, d := range c.Datasets(false) {
+			n += len(d.SQL) + len(d.Preview) + len(d.SharedWith)
+		}
+		for _, d := range c.SearchDatasets("alice", "water") {
+			n += len(d.SQL) + len(d.Meta.Description)
+		}
+	}
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	ds, err := c.Dataset("alice", "water")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(ds.SQL, "UNION ALL"); got != 20 {
+		t.Fatalf("appends in SQL = %d, want 20", got)
+	}
+	if n == 0 {
+		t.Fatal("the reader saw no dataset fields")
 	}
 }

@@ -71,7 +71,7 @@ func (c *Catalog) ResolveDOI(doi string) (*Dataset, error) {
 	defer c.mu.RUnlock()
 	for _, ds := range c.datasets {
 		if ds.DOI == doi && !ds.Deleted {
-			return ds, nil
+			return ds.snapshot(), nil
 		}
 	}
 	return nil, fmt.Errorf("catalog: no dataset with DOI %q", doi)

@@ -215,8 +215,10 @@ func parallelRun(ctx *ExecContext, n Node, rows, tasks int, fn func(task int) er
 	return workers, firstErr
 }
 
-// concatRowSlots merges per-task output slices in task order. Returns nil
-// for an empty result, matching what serial appends produce.
+// concatRowSlots merges per-task output slices (or a Concatenation's input
+// relations) in order, into one slice allocated at its final size; a single
+// non-empty slice is returned as is. Returns nil for an empty result,
+// matching what serial appends produce.
 func concatRowSlots(slots [][]storage.Row) []storage.Row {
 	total := 0
 	nonEmpty := 0

@@ -192,12 +192,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestParallelActuallyFansOut guards against the parallel path silently
-// degrading to serial: with tiny morsels and workers available, a scan
-// with a predicate must report more than one worker in its trace.
+// degrading to serial: with tiny morsels and workers available, a
+// column-gather projection over a filtered scan must report more than one
+// worker in its trace. (The 600-row table is one segment, so the
+// vectorized scan itself runs one task, and SELECT * would forward the
+// scan's rows without a gather.)
 func TestParallelActuallyFansOut(t *testing.T) {
 	parallelTestSetup(t)
 	res := parallelResolver(t, 600)
-	q, err := sqlparser.Parse("SELECT * FROM fact WHERE val > 50")
+	q, err := sqlparser.Parse("SELECT val, id FROM fact WHERE val > 50")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +293,7 @@ func TestParallelWorkerHookBalanced(t *testing.T) {
 	})
 	defer SetWorkersBusyHook(nil)
 	ctx := &ExecContext{Now: time.Now(), DOP: 4}
-	if _, err := Query("SELECT * FROM fact WHERE val > 10", res, ctx); err != nil {
+	if _, err := Query("SELECT val, id FROM fact WHERE val > 50", res, ctx); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
